@@ -15,7 +15,7 @@ pub const CODE_LEASE_LOST: &str = "lease_lost";
 
 /// Named code on `429` responses shed by admission control (the string
 /// constant lives in `chronos-http` because the server emits the envelope
-/// from its accept thread, below this crate; re-exported here as the
+/// from its event loop, below this crate; re-exported here as the
 /// contract's source of truth).
 pub const CODE_OVERLOADED: &str = chronos_http::CODE_OVERLOADED;
 
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn shed_path_and_contract_agree_on_the_wire_shape() {
-        // The accept thread sheds via chronos_http::Response::error_named —
+        // The event loop sheds via chronos_http::Response::error_named —
         // that body must decode into the same typed envelope this crate
         // defines, or agents would see untyped errors exactly when the
         // server is too loaded to be polite.

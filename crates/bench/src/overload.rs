@@ -148,7 +148,7 @@ pub fn run_load(
                         Outcome::Shed(hint) => {
                             shed += 1;
                             // A cooperating client honors Retry-After
-                            // instead of hammering the accept thread.
+                            // instead of hammering the event loop.
                             let backoff =
                                 hint.unwrap_or(DEFAULT_SHED_BACKOFF).min(MAX_SHED_BACKOFF);
                             std::thread::sleep(backoff);

@@ -6,11 +6,9 @@
 //! dependency-free HTTP/1.1 implementation with exactly the features the
 //! REST API needs —
 //!
-//! * [`Server`] — HTTP/1.1 server with two cores: an epoll reactor event
-//!   loop (default on Linux; idle keep-alive connections cost bytes, not
-//!   threads) and the original blocking accept loop on a thread pool
-//!   (the measured baseline), with keep-alive, `Content-Length` bodies,
-//!   admission control and graceful shutdown on both;
+//! * [`Server`] — HTTP/1.1 server on an epoll reactor event loop (idle
+//!   keep-alive connections cost bytes, not threads) with `Content-Length`
+//!   bodies, bounded admission control and graceful shutdown;
 //! * [`Router`] — method + path-pattern dispatch with `:param` captures,
 //!   the backbone of the versioned API;
 //! * [`Client`] — a blocking client with a keep-alive connection cache,
@@ -19,10 +17,15 @@
 //! * [`Request`] / [`Response`] — message types with JSON body helpers;
 //! * [`parser`] — the incremental request parser behind the reactor;
 //! * [`url`] — percent-encoding and query-string parsing.
+//!
+//! The network core is built directly on epoll and eventfd, so Linux is the
+//! one supported platform.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("chronos-http serves through epoll and builds only on Linux");
 
 pub mod client;
 pub mod parser;
-#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
@@ -32,7 +35,7 @@ pub mod url;
 
 pub use client::{Client, ClientError};
 pub use router::{RouteParams, Router};
-pub use server::{CoreKind, Server, ServerHandle, ServerMetrics};
+pub use server::{Server, ServerHandle, ServerMetrics};
 pub use sys::raise_nofile_limit;
 pub use types::{Headers, Method, Request, Response, Status};
 pub use types::{

@@ -1,24 +1,23 @@
-//! Incremental HTTP/1.1 request parser for the reactor core.
+//! Incremental HTTP/1.1 request parser for the reactor.
 //!
-//! The blocking core reads a request with `BufRead::read_line` on a socket
-//! it owns for the whole exchange. The reactor owns thousands of sockets at
-//! once and only gets bytes when the kernel says they arrived, so parsing
-//! must be resumable at *any* byte boundary: mid-request-line, mid-header,
-//! mid-CRLF, mid-body. [`RequestParser`] accumulates fed bytes and yields a
-//! request exactly when one is complete; trailing bytes (a pipelined second
-//! request) stay buffered for the next poll.
+//! The reactor owns thousands of sockets at once and only gets bytes when
+//! the kernel says they arrived, so parsing must be resumable at *any* byte
+//! boundary: mid-request-line, mid-header, mid-CRLF, mid-body.
+//! [`RequestParser`] accumulates fed bytes and yields a request exactly
+//! when one is complete; trailing bytes (a pipelined second request) stay
+//! buffered for the next poll.
 //!
-//! Semantics intentionally mirror `server::read_request` — same limits,
-//! same error strings, same keep-alive and deadline rules — so switching
-//! cores never changes what a client observes.
+//! Buffers grow only with bytes that actually arrived: a declared
+//! `Content-Length` is an untrusted claim, and committing it up front would
+//! let a peer reserve 64 MiB per connection without sending a byte.
 
 use std::time::{Duration, Instant};
 
 use crate::server::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use crate::types::{Headers, Method, Request, DEADLINE_HEADER};
 
-/// Why a request could not be parsed. Maps to the same responses the
-/// blocking core sends: `BadRequest` → 400, `TooLarge` → 413.
+/// Why a request could not be parsed. The reactor answers `BadRequest`
+/// with 400 and `TooLarge` with 413, then closes.
 #[derive(Debug)]
 pub enum ParseError {
     /// Malformed message; the string is the client-visible diagnostic.
@@ -104,7 +103,7 @@ impl RequestParser {
     /// `Ok(None)` means more bytes are needed. Leftover bytes beyond the
     /// returned request (pipelining) remain buffered. After an `Err` the
     /// parser is poisoned for this connection — the caller responds and
-    /// closes, matching the blocking core.
+    /// closes.
     pub fn poll(&mut self) -> Result<Option<ParsedRequest>, ParseError> {
         loop {
             match &mut self.state {
@@ -188,7 +187,7 @@ impl RequestParser {
 }
 
 /// Parses a complete head (everything up to and including the blank line)
-/// into the pending-request fields. Mirrors `server::read_request` exactly.
+/// into the pending-request fields.
 fn parse_head(head: &[u8]) -> Result<PendingHead, ParseError> {
     let mut lines = head.split(|&b| b == b'\n').map(|line| {
         let line = if line.last() == Some(&b'\r') { &line[..line.len() - 1] } else { line };
@@ -422,6 +421,44 @@ mod tests {
         let mut p = RequestParser::new();
         p.feed(b"\r\n");
         assert!(matches!(p.poll(), Err(ParseError::BadRequest(_))));
+    }
+
+    #[test]
+    fn body_read_does_not_precommit_declared_length() {
+        // A declared Content-Length is untrusted: with only ~1000 body bytes
+        // arrived, the buffer must hold about that much, not the declared
+        // 64 MiB.
+        let mut p = RequestParser::new();
+        p.feed(format!("POST /x HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n").as_bytes());
+        p.feed(&[7u8; 1000]);
+        assert!(p.poll().unwrap().is_none());
+        assert!(p.reading_body());
+        assert!(
+            p.buf.capacity() <= 16 * 1024,
+            "buffer pre-committed {} bytes off the declared Content-Length",
+            p.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn body_read_roundtrips_across_chunks() {
+        let data: Vec<u8> = (0..3 * 64 * 1024 + 17).map(|i| (i % 251) as u8).collect();
+        let mut p = RequestParser::new();
+        p.feed(format!("POST /blob HTTP/1.1\r\nContent-Length: {}\r\n\r\n", data.len()).as_bytes());
+        // Uneven slices: one byte, a prime-sized run, then progressively
+        // larger pieces, so slice edges never align with any power of two.
+        let mut fed = 0;
+        let mut step = 1;
+        while fed < data.len() {
+            let end = (fed + step).min(data.len());
+            p.feed(&data[fed..end]);
+            fed = end;
+            if fed < data.len() {
+                assert!(p.poll().unwrap().is_none(), "complete after only {fed} body bytes");
+            }
+            step = step * 3 + 7;
+        }
+        assert_eq!(poll_one(&mut p).request.body, data);
     }
 
     #[test]

@@ -9,237 +9,222 @@
 //! tens of thousands of sockets).
 
 use std::io;
+use std::os::fd::RawFd;
+use std::os::raw::{c_int, c_uint, c_void};
 
-#[cfg(target_os = "linux")]
-pub use linux::{Epoll, EpollEvent, EventFd};
+pub const EPOLLIN: u32 = 0x001;
+pub const EPOLLOUT: u32 = 0x004;
+pub const EPOLLERR: u32 = 0x008;
+pub const EPOLLHUP: u32 = 0x010;
 
-#[cfg(target_os = "linux")]
-pub mod linux {
-    //! The real implementation. Only compiled on Linux; the reactor core is
-    //! gated on the same cfg and the server falls back to the threaded core
-    //! elsewhere.
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+/// `O_CLOEXEC` (octal 02000000), shared by `EPOLL_CLOEXEC`/`EFD_CLOEXEC`.
+const CLOEXEC: c_int = 0o2000000;
+/// `O_NONBLOCK` (octal 04000), shared by `EFD_NONBLOCK`.
+const NONBLOCK: c_int = 0o4000;
 
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_uint, c_void};
+/// The kernel's `struct epoll_event`. On x86 the kernel declares it
+/// packed (no padding between `events` and `data`); on other
+/// architectures it is naturally aligned. Getting this wrong corrupts
+/// every token the kernel hands back, so mirror the kernel exactly.
+#[repr(C)]
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
+#[derive(Clone, Copy)]
+pub struct EpollEvent {
+    /// Readiness bitmask (`EPOLLIN | ...`).
+    pub events: u32,
+    /// Caller-chosen token identifying the registered fd.
+    pub data: u64,
+}
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    /// `O_CLOEXEC` (octal 02000000), shared by `EPOLL_CLOEXEC`/`EFD_CLOEXEC`.
-    const CLOEXEC: c_int = 0o2000000;
-    /// `O_NONBLOCK` (octal 04000), shared by `EFD_NONBLOCK`.
-    const NONBLOCK: c_int = 0o4000;
-
-    /// The kernel's `struct epoll_event`. On x86 the kernel declares it
-    /// packed (no padding between `events` and `data`); on other
-    /// architectures it is naturally aligned. Getting this wrong corrupts
-    /// every token the kernel hands back, so mirror the kernel exactly.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        /// Readiness bitmask (`EPOLLIN | ...`).
-        pub events: u32,
-        /// Caller-chosen token identifying the registered fd.
-        pub data: u64,
+impl EpollEvent {
+    /// A zeroed event (for the wait buffer).
+    pub fn empty() -> Self {
+        EpollEvent { events: 0, data: 0 }
     }
 
-    impl EpollEvent {
-        /// A zeroed event (for the wait buffer).
-        pub fn empty() -> Self {
-            EpollEvent { events: 0, data: 0 }
-        }
-
-        /// The token, copied out (the struct may be packed; never take a
-        /// reference to its fields).
-        pub fn token(&self) -> u64 {
-            self.data
-        }
-
-        /// The readiness bits, copied out.
-        pub fn readiness(&self) -> u32 {
-            self.events
-        }
+    /// The token, copied out (the struct may be packed; never take a
+    /// reference to its fields).
+    pub fn token(&self) -> u64 {
+        self.data
     }
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
+    /// The readiness bits, copied out.
+    pub fn readiness(&self) -> u32 {
+        self.events
     }
+}
 
-    /// An epoll instance: the readiness queue behind the reactor.
-    pub struct Epoll {
-        fd: c_int,
-    }
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn close(fd: c_int) -> c_int;
+}
 
-    impl Epoll {
-        /// Creates a close-on-exec epoll instance.
-        pub fn new() -> io::Result<Epoll> {
-            let fd = unsafe { epoll_create1(CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll { fd })
-        }
+/// An epoll instance: the readiness queue behind the reactor.
+pub struct Epoll {
+    fd: c_int,
+}
 
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut event = EpollEvent { events, data: token };
-            let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut event) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Registers `fd` with interest `events`, tagged `token`.
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, events)
-        }
-
-        /// Changes the interest set of an already-registered fd.
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, events)
-        }
-
-        /// Deregisters `fd`.
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        /// Waits up to `timeout_ms` for readiness, filling `events`.
-        /// Retries on `EINTR` so callers never see spurious failures.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-            loop {
-                let rc = unsafe {
-                    epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
-                };
-                if rc >= 0 {
-                    return Ok(rc as usize);
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    /// A non-blocking eventfd: worker threads write to it to wake the
-    /// reactor out of `epoll_wait` when a response is ready.
-    pub struct EventFd {
-        fd: c_int,
-    }
-
-    impl EventFd {
-        /// Creates a non-blocking, close-on-exec eventfd with counter 0.
-        pub fn new() -> io::Result<EventFd> {
-            let fd = unsafe { eventfd(0, CLOEXEC | NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(EventFd { fd })
-        }
-
-        /// The raw fd, for epoll registration.
-        pub fn fd(&self) -> RawFd {
-            self.fd
-        }
-
-        /// Adds 1 to the counter, making the fd readable. Failures are
-        /// ignored deliberately: the reactor also drains completions on its
-        /// timer tick, so a lost wakeup costs latency, never correctness.
-        pub fn wake(&self) {
-            let one: u64 = 1;
-            let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-        }
-
-        /// Resets the counter so the fd stops being readable (one read
-        /// suffices: a non-semaphore eventfd returns and clears the whole
-        /// counter).
-        pub fn drain(&self) {
-            let mut counter: u64 = 0;
-            let _ = unsafe { read(self.fd, (&mut counter as *mut u64).cast(), 8) };
-        }
-    }
-
-    impl Drop for EventFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    // Resource limits, for `raise_nofile_limit`.
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-
-    const RLIMIT_NOFILE: c_int = 7;
-
-    extern "C" {
-        fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-        fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
-    }
-
-    /// Raises the soft open-file limit to the hard limit and returns the
-    /// resulting soft limit.
-    pub fn raise_nofile_limit() -> io::Result<u64> {
-        let mut limit = RLimit { cur: 0, max: 0 };
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) } < 0 {
+impl Epoll {
+    /// Creates a close-on-exec epoll instance.
+    pub fn new() -> io::Result<Epoll> {
+        // SAFETY: takes only an integer flag; no memory is shared.
+        let fd = unsafe { epoll_create1(CLOEXEC) };
+        if fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        if limit.cur < limit.max {
-            let raised = RLimit { cur: limit.max, max: limit.max };
-            if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            return Ok(raised.cur);
+        Ok(Epoll { fd })
+    }
+
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        let mut event = EpollEvent { events, data: token };
+        // SAFETY: `event` is a live, correctly laid out `epoll_event` the
+        // kernel only reads during the call.
+        let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut event) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
-        Ok(limit.cur)
+        Ok(())
+    }
+
+    /// Registers `fd` with interest `events`, tagged `token`.
+    pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, events)
+    }
+
+    /// Changes the interest set of an already-registered fd.
+    pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, events)
+    }
+
+    /// Deregisters `fd`.
+    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Waits up to `timeout_ms` for readiness, filling `events`.
+    /// Retries on `EINTR` so callers never see spurious failures.
+    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        loop {
+            // SAFETY: the pointer and length describe `events`, a live
+            // mutable slice the kernel writes at most `len` entries into.
+            let rc = unsafe {
+                epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
+            };
+            if rc >= 0 {
+                return Ok(rc as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
     }
 }
 
-/// Raises the process's soft open-file limit to its hard limit (no-op when
-/// already there) and returns the soft limit now in force. Fleet-scale
-/// experiments (E12's 8k keep-alive agents) call this before opening
-/// sockets; on non-Linux hosts it reports success without acting.
+impl Drop for Epoll {
+    fn drop(&mut self) {
+        // SAFETY: `fd` is owned by this value and closed exactly once, here.
+        unsafe { close(self.fd) };
+    }
+}
+
+/// A non-blocking eventfd: worker threads write to it to wake the
+/// reactor out of `epoll_wait` when a response is ready.
+pub struct EventFd {
+    fd: c_int,
+}
+
+impl EventFd {
+    /// Creates a non-blocking, close-on-exec eventfd with counter 0.
+    pub fn new() -> io::Result<EventFd> {
+        // SAFETY: takes only integer arguments; no memory is shared.
+        let fd = unsafe { eventfd(0, CLOEXEC | NONBLOCK) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(EventFd { fd })
+    }
+
+    /// The raw fd, for epoll registration.
+    pub fn fd(&self) -> RawFd {
+        self.fd
+    }
+
+    /// Adds 1 to the counter, making the fd readable. Failures are
+    /// ignored deliberately: the reactor also drains completions on its
+    /// timer tick, so a lost wakeup costs latency, never correctness.
+    pub fn wake(&self) {
+        let one: u64 = 1;
+        // SAFETY: the pointer is to `one`, a live 8-byte local, and
+        // exactly 8 bytes are read from it.
+        let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
+    }
+
+    /// Resets the counter so the fd stops being readable (one read
+    /// suffices: a non-semaphore eventfd returns and clears the whole
+    /// counter).
+    pub fn drain(&self) {
+        let mut counter: u64 = 0;
+        // SAFETY: the pointer is to `counter`, a live 8-byte local, and at
+        // most 8 bytes are written into it.
+        let _ = unsafe { read(self.fd, (&mut counter as *mut u64).cast(), 8) };
+    }
+}
+
+impl Drop for EventFd {
+    fn drop(&mut self) {
+        // SAFETY: `fd` is owned by this value and closed exactly once, here.
+        unsafe { close(self.fd) };
+    }
+}
+
+// Resource limits, for `raise_nofile_limit`.
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
+
+const RLIMIT_NOFILE: c_int = 7;
+
+extern "C" {
+    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+}
+
+/// Raises the process's soft open-file limit to its hard limit (no-op
+/// when already there) and returns the soft limit now in force.
+/// Fleet-scale experiments (E12's 8k keep-alive agents) call this before
+/// opening sockets.
 pub fn raise_nofile_limit() -> io::Result<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        linux::raise_nofile_limit()
+    let mut limit = RLimit { cur: 0, max: 0 };
+    // SAFETY: `limit` is a live `struct rlimit` (two u64 fields on Linux)
+    // the kernel fills in.
+    if unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) } < 0 {
+        return Err(io::Error::last_os_error());
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        Ok(u64::MAX)
+    if limit.cur < limit.max {
+        let raised = RLimit { cur: limit.max, max: limit.max };
+        // SAFETY: `raised` is a live `struct rlimit` the kernel only reads.
+        if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        return Ok(raised.cur);
     }
+    Ok(limit.cur)
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
-    use super::linux::*;
+    use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
@@ -292,7 +277,7 @@ mod tests {
 
     #[test]
     fn raise_nofile_limit_reports_a_limit() {
-        let limit = super::raise_nofile_limit().unwrap();
+        let limit = raise_nofile_limit().unwrap();
         assert!(limit >= 256, "suspiciously low fd limit {limit}");
     }
 }

@@ -19,7 +19,7 @@ pub const RETRY_AFTER_MS_HEADER: &str = "X-Chronos-Retry-After-Ms";
 ///
 /// These three live here — below the `chronos-api` contract crate, which
 /// re-exports them — because the server must emit typed envelopes from the
-/// accept thread without depending on the contract crate (which depends on
+/// event loop without depending on the contract crate (which depends on
 /// this one).
 pub const CODE_OVERLOADED: &str = "overloaded";
 /// Named error code on `503` responses refused during graceful drain.

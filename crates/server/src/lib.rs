@@ -15,8 +15,8 @@
 //! ## Overload protection and graceful degradation
 //!
 //! The HTTP front end runs with bounded admission by default: a fixed
-//! worker pool, a bounded accept queue, and an in-flight connection cap.
-//! Excess load is shed cheaply from the accept thread with typed
+//! worker pool, a bounded job queue, and an in-flight connection cap.
+//! Excess load is shed cheaply from the event loop with typed
 //! `429 {"error":{"code":"overloaded"}}` envelopes carrying `Retry-After`.
 //! Callers can bound their wait with the `X-Chronos-Deadline-Ms` header;
 //! an exhausted budget is answered with `504 deadline_exceeded` before
@@ -77,9 +77,9 @@ impl ChronosServer {
     }
 
     /// Like [`ChronosServer::start`], but with a caller-configured HTTP
-    /// front end (worker count, admission queue depth, in-flight cap, or
-    /// an unbounded legacy configuration). Used by the overload experiment
-    /// and robustness tests to pin the admission envelope.
+    /// front end (worker count, admission queue depth, in-flight cap).
+    /// Used by the overload experiment and robustness tests to pin the
+    /// admission envelope.
     pub fn start_with(
         control: Arc<ChronosControl>,
         addr: &str,
@@ -335,7 +335,7 @@ fn router_with_cluster(
 
     // Readiness: the store can persist writes and no drain has begun. An
     // unready server answers 503 with the same typed envelope shape the
-    // accept thread sheds with, so probes and agents classify it alike.
+    // event loop sheds with, so probes and agents classify it alike.
     // Cluster mode adds the node's role/term/lag, and a follower whose
     // replication lag exceeds the staleness bound reports unready.
     router.get("/readyz", move |_req, _params| {

@@ -1,6 +1,6 @@
 //! A fixed-size worker thread pool.
 //!
-//! Used by the Chronos HTTP server to serve concurrent connections and by
+//! Used by the Chronos HTTP server to run request handlers and by
 //! evaluation clients to drive multi-threaded benchmark workloads (the demo's
 //! swept parameter *is* the client thread count, so the pool is on the hot
 //! path of experiment E1).
@@ -34,19 +34,16 @@ struct JobQueue {
     job_ready: Condvar,
     /// Wakes blocked submitters and the startup barrier: a worker parked.
     space_free: Condvar,
-    /// Max jobs buffered beyond the idle workers; `None` = unbounded.
-    capacity: Option<usize>,
+    /// Max jobs buffered beyond the idle workers.
+    capacity: usize,
 }
 
 impl JobQueue {
     fn has_room(&self, state: &QueueState) -> bool {
-        match self.capacity {
-            None => true,
-            Some(cap) => state.jobs.len() < cap + state.idle,
-        }
+        state.jobs.len() < self.capacity + state.idle
     }
 
-    /// Enqueues `job`; with `block`, waits for room on a full bounded queue.
+    /// Enqueues `job`; with `block`, waits for room on a full queue.
     /// Returns `false` (dropping the job) if the queue is closed, or — in
     /// non-blocking mode — full.
     fn push(&self, job: Job, block: bool) -> bool {
@@ -94,7 +91,8 @@ impl JobQueue {
     }
 }
 
-/// A fixed-size pool of worker threads executing submitted closures.
+/// A fixed-size pool of worker threads executing submitted closures from a
+/// bounded queue.
 ///
 /// Dropping the pool closes the queue and joins all workers, so every
 /// submitted job is either executed or (if a worker panicked) accounted for
@@ -106,32 +104,18 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `size` workers and an unbounded queue. `size` is
-    /// clamped to at least 1.
-    pub fn new(size: usize) -> Self {
-        Self::with_name(size, "chronos-worker")
-    }
-
-    /// Creates a pool whose worker threads carry `name` (visible in
-    /// backtraces and profilers).
-    pub fn with_name(size: usize, name: &str) -> Self {
-        Self::build(size, None, name)
-    }
-
-    /// Creates a pool with `size` workers and a bounded queue holding at most
-    /// `queue` jobs beyond the ones workers are already running. Submissions
-    /// past that bound fail fast via [`ThreadPool::try_execute`] instead of
-    /// piling up — the primitive behind the HTTP server's admission control.
+    /// Creates a pool with `size` workers (clamped to at least 1) and a
+    /// bounded queue holding at most `queue` jobs beyond the ones workers
+    /// are already running. Submissions past that bound fail fast via
+    /// [`ThreadPool::try_execute`] instead of piling up — the primitive
+    /// behind the HTTP server's admission control.
     pub fn bounded(size: usize, queue: usize) -> Self {
         Self::bounded_with_name(size, queue, "chronos-worker")
     }
 
-    /// [`ThreadPool::bounded`] with named worker threads.
+    /// [`ThreadPool::bounded`] with worker threads named `name` (visible in
+    /// backtraces and profilers).
     pub fn bounded_with_name(size: usize, queue: usize, name: &str) -> Self {
-        Self::build(size, Some(queue), name)
-    }
-
-    fn build(size: usize, queue: Option<usize>, name: &str) -> Self {
         let size = size.max(1);
         let queue = Arc::new(JobQueue {
             state: StdMutex::new(QueueState { jobs: VecDeque::new(), idle: 0, closed: false }),
@@ -169,7 +153,7 @@ impl ThreadPool {
         ThreadPool { queue, workers, panics }
     }
 
-    /// Submits a job for execution, blocking if a bounded queue is full.
+    /// Submits a job for execution, blocking while the queue is full.
     /// Returns `false` if the pool is shutting down and the job was not
     /// accepted.
     pub fn execute<F>(&self, job: F) -> bool
@@ -180,10 +164,9 @@ impl ThreadPool {
     }
 
     /// Submits a job without blocking. Returns `false` — dropping the job —
-    /// if a bounded queue is full or the pool is shutting down. A bounded
-    /// queue is full when the job could neither be picked up by an idle
-    /// worker nor buffered in a free queue slot. On an unbounded pool this
-    /// is identical to [`ThreadPool::execute`].
+    /// if the queue is full or the pool is shutting down. The queue is full
+    /// when the job could neither be picked up by an idle worker nor
+    /// buffered in a free queue slot.
     pub fn try_execute<F>(&self, job: F) -> bool
     where
         F: FnOnce() + Send + 'static,
@@ -196,8 +179,8 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// The bounded queue depth, or `None` for an unbounded pool.
-    pub fn queue_capacity(&self) -> Option<usize> {
+    /// The bounded queue depth.
+    pub fn queue_capacity(&self) -> usize {
         self.queue.capacity
     }
 
@@ -240,7 +223,7 @@ mod tests {
 
     #[test]
     fn executes_all_jobs() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::bounded(4, 64);
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..1000 {
             let counter = Arc::clone(&counter);
@@ -254,13 +237,13 @@ mod tests {
 
     #[test]
     fn zero_size_is_clamped() {
-        let pool = ThreadPool::new(0);
+        let pool = ThreadPool::bounded(0, 1);
         assert_eq!(pool.size(), 1);
     }
 
     #[test]
     fn panicking_job_does_not_kill_worker() {
-        let pool = ThreadPool::new(1);
+        let pool = ThreadPool::bounded(1, 1);
         pool.execute(|| panic!("boom"));
         let done = Arc::new(AtomicU64::new(0));
         let d = Arc::clone(&done);
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn panics_are_counted() {
-        let pool = ThreadPool::new(2);
+        let pool = ThreadPool::bounded(2, 4);
         for _ in 0..3 {
             pool.execute(|| panic!("boom"));
         }
@@ -296,7 +279,7 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let guard = gate.lock();
         let pool = ThreadPool::bounded(1, 2);
-        assert_eq!(pool.queue_capacity(), Some(2));
+        assert_eq!(pool.queue_capacity(), 2);
         let blocker = Arc::clone(&gate);
         assert!(pool.try_execute(move || {
             drop(blocker.lock());
@@ -354,15 +337,6 @@ mod tests {
         drop(guard);
         drop(pool);
         assert_eq!(started.load(Ordering::Relaxed), 4, "every admitted job must run");
-    }
-
-    #[test]
-    fn unbounded_try_execute_never_sheds() {
-        let pool = ThreadPool::new(1);
-        for _ in 0..100 {
-            assert!(pool.try_execute(|| {}));
-        }
-        assert_eq!(pool.queue_capacity(), None);
     }
 
     #[test]

@@ -78,13 +78,10 @@ test -s "$smoke_dir/BENCH_adaptive.json"
 test -s "$smoke_dir/BENCH_isolation.json"
 rm -rf "$smoke_dir"
 
-echo "== overload protection gate (tests/overload.rs, both network cores) =="
+echo "== overload protection gate (tests/overload.rs) =="
 # Typed shed envelopes, deadline refusal, graceful drain, Retry-After
-# cooperation — pinned explicitly, not just via the workspace run, and on
-# both the epoll reactor (platform default) and the threaded fallback so
-# neither core can drift on overload semantics.
-CHRONOS_HTTP_CORE=reactor cargo test -q --offline --test overload
-CHRONOS_HTTP_CORE=threaded cargo test -q --offline --test overload
+# cooperation — pinned explicitly, not just via the workspace run.
+cargo test -q --offline --test overload
 
 echo "== budget + quarantine gate (tests/quarantine.rs) =="
 # Per-job resource budgets end to end: the watchdog kills a runaway with a
